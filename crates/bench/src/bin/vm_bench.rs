@@ -130,10 +130,10 @@ fn measure(b: &Benchmark, quick: bool) -> BenchRow {
     }
 }
 
-/// Measures the `RegionHeap` recycled-chunk pool directly: the letreg
-/// churn pattern (push, allocate, pop, repeat) that dominates the
-/// RegJava loops. Reports how many pushes were served from the pool and
-/// the wall time of the churn loop.
+/// Measures `RegionHeap` buffer recycling directly: the letreg churn
+/// pattern (push, allocate, pop, repeat) that dominates the RegJava
+/// loops. Reports how many pushes were served with a warm recycled
+/// buffer and the wall time of the churn loop.
 fn measure_heap_pool(quick: bool) -> (u64, u64, f64) {
     use cj_vm::heap::RegionHeap;
     let rounds: u64 = if quick { 20_000 } else { 200_000 };

@@ -138,9 +138,10 @@ impl RegionManager {
     /// # Errors
     ///
     /// The deleted region must be the top of the stack (lexical scoping
-    /// guarantees this for checked programs).
+    /// guarantees this for checked programs); the heap can never be
+    /// popped.
     pub fn pop(&mut self, id: RegionId) -> Result<(), RegionError> {
-        if self.stack.last() != Some(&id) {
+        if id.is_heap() || self.stack.last() != Some(&id) {
             return Err(RegionError::NotTopOfStack(id));
         }
         self.stack.pop();
@@ -234,6 +235,18 @@ mod tests {
         m.alloc(RegionId::HEAP, 32).unwrap();
         assert!(m.is_live(RegionId::HEAP));
         assert_eq!(m.live_bytes(), 32);
+    }
+
+    #[test]
+    fn heap_cannot_be_popped() {
+        let mut m = RegionManager::new();
+        assert_eq!(
+            m.pop(RegionId::HEAP),
+            Err(RegionError::NotTopOfStack(RegionId::HEAP))
+        );
+        assert!(m.is_live(RegionId::HEAP));
+        assert_eq!(m.depth(), 1);
+        m.alloc(RegionId::HEAP, 8).unwrap();
     }
 
     #[test]

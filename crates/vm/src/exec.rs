@@ -23,7 +23,6 @@ use cj_frontend::types::MethodId;
 use cj_runtime::store::ObjId;
 use cj_runtime::{Outcome, RunConfig, RuntimeError, Value};
 use std::fmt;
-use std::sync::Arc;
 
 #[cfg(doc)]
 use cj_runtime::SpaceStats;
@@ -281,9 +280,12 @@ impl Vm<'_> {
     }
 
     fn run(&mut self) -> Result<VmValue, RuntimeError> {
+        // A copy of the program reference, so the current method borrows
+        // from the program rather than from `self`.
+        let p = self.p;
         'frames: loop {
             let frame = *self.frames.last().expect("active frame");
-            let method: Arc<CompiledMethod> = Arc::clone(&self.p.methods[frame.func as usize]);
+            let method: &CompiledMethod = &p.methods[frame.func as usize];
             let lbase = frame.locals as usize;
             let rbase = frame.regs as usize;
             let mut pc = frame.pc as usize;
@@ -392,10 +394,10 @@ impl Vm<'_> {
                                 let r = self
                                     .deref(self.locals[lbase + recv as usize], method.spans[pc])?;
                                 let class = self.heap.class_of(r);
-                                (self.p.vtables[class as usize][vslot as usize], Some(r))
+                                (p.vtables[class as usize][vslot as usize], Some(r))
                             }
                         };
-                        let callee = &self.p.methods[func as usize];
+                        let callee = &p.methods[func as usize];
                         let new_lbase = self.locals.len();
                         self.locals
                             .extend(callee.defaults.iter().map(|&d| lit_value(d)));
@@ -455,7 +457,7 @@ impl Vm<'_> {
                                     return Err(RuntimeError::DanglingAccess(method.spans[pc]));
                                 }
                                 let class = self.heap.class_of(r) as usize;
-                                if self.p.subclass[class][site.class as usize] {
+                                if p.subclass[class][site.class as usize] {
                                     self.stack.push(v);
                                 } else {
                                     return Err(RuntimeError::CastFailed(method.spans[pc]));
