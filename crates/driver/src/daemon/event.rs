@@ -1,9 +1,9 @@
-//! The event-loop front end ([`Frontend::Event`]): **one** reactor
-//! thread ([`cj_net::EventLoop`]) multiplexes every connection —
-//! nonblocking accept, incremental line framing, write-side backpressure
-//! — while decoded requests run on the same worker pool the threads
-//! front end uses. Workers push responses back through a [`NetHandle`]
-//! (an mpsc command queue plus a wakeup pipe into the poller).
+//! The daemon's event-loop front end: **one** reactor thread
+//! ([`cj_net::EventLoop`]) multiplexes every connection — nonblocking
+//! accept, incremental line framing, write-side backpressure — while
+//! decoded requests run on a worker pool. Workers push responses back
+//! through a [`NetHandle`] (an mpsc command queue plus a wakeup pipe into
+//! the poller).
 //!
 //! Per connection the reactor delivers at most one request at a time
 //! (pipelined bytes wait in the framer, then in the kernel), so each
@@ -11,16 +11,14 @@
 //! hops between the event thread and workers — the `Mutex` around it is
 //! uncontended by construction.
 //!
-//! Shutdown: a daemon-scope request sets the stop flag from the worker
+//! Shutdown: a daemon-scope request
+//! ([`Server::daemon_stop_requested`]) sets the stop flag from the worker
 //! (before its response is queued); the reactor keeps turning until no
 //! request is in flight, then flushes pending responses — the shutdown
 //! acknowledgement included — under a bounded grace period, closes every
 //! connection and joins the pool.
 
-use super::{
-    capacity_reject_line, decode_request, idle_goodbye_line, is_daemon_shutdown, Daemon, Listener,
-    MAX_REQUEST_BYTES,
-};
+use super::{Daemon, Listener};
 use crate::server::Server;
 use crate::workspace::Workspace;
 use cj_net::{EventLoop, NetConfig, NetEvent, NetHandle, NetListener, Token};
@@ -57,8 +55,8 @@ pub(super) fn serve(daemon: &Daemon) -> std::io::Result<()> {
     let mut el = EventLoop::new(net_listener, net_config)?;
     let handle = el.handle();
 
-    // The worker pool: same mpsc shape as the threads front end, but the
-    // unit of work is one request, not one connection's lifetime.
+    // The worker pool: the unit of work is one request, not one
+    // connection's lifetime.
     let (jtx, jrx) = mpsc::channel::<Job>();
     let jrx = Arc::new(Mutex::new(jrx));
     let workers = daemon.config.workers.max(1);
@@ -85,12 +83,11 @@ pub(super) fn serve(daemon: &Daemon) -> std::io::Result<()> {
             };
             telemetry.record_queue_wait(enqueued.elapsed());
             cj_trace::record_interval("daemon", "queue-wait", enqueued);
-            let daemon_stop = is_daemon_shutdown(&request);
-            let (response, done) = {
+            let (response, done, daemon_stop) = {
                 let _span = cj_trace::span("daemon", "worker-handle");
                 let mut server = server.lock().expect("connection server poisoned");
                 let response = server.handle_line(request.trim_end_matches(['\n', '\r']));
-                (response, server.is_done())
+                (response, server.is_done(), server.daemon_stop_requested())
             };
             if daemon_stop {
                 // Before the response is queued: a client hanging up right
@@ -158,8 +155,7 @@ pub(super) fn serve(daemon: &Daemon) -> std::io::Result<()> {
                 }
                 NetEvent::Line { token, line } => {
                     if daemon.stop.load(Ordering::SeqCst) {
-                        // Stopping: new requests are dropped, exactly like
-                        // the threads front end's post-stop `Drop`.
+                        // Stopping: new requests are dropped unanswered.
                         el.close(token);
                         continue;
                     }
@@ -213,5 +209,40 @@ pub(super) fn serve(daemon: &Daemon) -> std::io::Result<()> {
     match fatal {
         Some(e) => Err(e),
         None => Ok(()),
+    }
+}
+
+/// The backpressure reject line — the same `{"ok":false,...}` shape every
+/// protocol error uses, plus a machine-readable `"code"` so clients can
+/// distinguish "retry later" from a malformed request.
+fn capacity_reject_line(limit: usize) -> String {
+    format!(
+        "{{\"ok\":false,\"error\":\"daemon at capacity ({limit} active \
+         client{}); retry later\",\"code\":\"capacity\"}}",
+        if limit == 1 { "" } else { "s" }
+    )
+}
+
+/// The idle-eviction goodbye line.
+fn idle_goodbye_line(idle_timeout: Duration) -> String {
+    format!(
+        "{{\"ok\":false,\"error\":\"idle timeout: no request \
+         completed in {}s\",\"code\":\"idle\"}}",
+        idle_timeout.as_secs_f64()
+    )
+}
+
+/// Largest accepted request line. Workspace files are capped at 1 MiB,
+/// so even a fully escaped `open` fits comfortably; anything bigger is a
+/// protocol violation (or an attack) and must not grow worker memory.
+const MAX_REQUEST_BYTES: usize = 16 << 20;
+
+/// Decodes a request line for the protocol layer: move in the
+/// (overwhelmingly common) valid-UTF-8 case, lossy copy only for a
+/// malformed client.
+fn decode_request(line: Vec<u8>) -> String {
+    match String::from_utf8(line) {
+        Ok(s) => s,
+        Err(e) => String::from_utf8_lossy(e.as_bytes()).into_owned(),
     }
 }

@@ -258,6 +258,9 @@ fn read_hex4(b: &[u8], at: usize) -> Option<u32> {
 pub struct Server {
     ws: Workspace,
     done: bool,
+    /// Whether the processed `shutdown` asked to stop the whole daemon
+    /// (`scope:"daemon"`).
+    daemon_stop: bool,
     /// Live daemon serving counters (set only when this server runs
     /// behind `cjrcd`); surfaced under `stats.daemon`.
     daemon_stats: Option<std::sync::Arc<crate::daemon::DaemonStats>>,
@@ -279,6 +282,7 @@ impl Server {
         Server {
             ws,
             done: false,
+            daemon_stop: false,
             daemon_stats: None,
             telemetry: std::sync::Arc::new(crate::telemetry::Telemetry::new()),
         }
@@ -292,8 +296,8 @@ impl Server {
     }
 
     /// Replaces this server's telemetry hub with a shared one — how the
-    /// daemon front ends aggregate every connection's request latencies
-    /// into the registry the `--metrics-addr` endpoint scrapes.
+    /// daemon aggregates every connection's request latencies into the
+    /// registry the `--metrics-addr` endpoint scrapes.
     pub fn set_telemetry(&mut self, telemetry: std::sync::Arc<crate::telemetry::Telemetry>) {
         self.telemetry = telemetry;
     }
@@ -306,6 +310,12 @@ impl Server {
     /// Whether a `shutdown` request has been processed.
     pub fn is_done(&self) -> bool {
         self.done
+    }
+
+    /// Whether a `{"cmd":"shutdown","scope":"daemon"}` request has been
+    /// processed — the daemon's cue to stop serving every connection.
+    pub fn daemon_stop_requested(&self) -> bool {
+        self.daemon_stop
     }
 
     /// The underlying workspace (for tests and embedders).
@@ -543,12 +553,13 @@ impl Server {
                 ))
             }
             "shutdown" => {
-                // `scope:"daemon"` is acted on by the daemon front end; a
-                // misspelled scope must not silently degrade to a
+                // `scope:"daemon"` is recorded for the daemon front end to
+                // act on; a misspelled scope must not silently degrade to a
                 // connection-scope shutdown the client mistakes for a
                 // daemon stop.
                 match req.get_str("scope") {
-                    None | Some("daemon") | Some("connection") => {}
+                    None | Some("connection") => {}
+                    Some("daemon") => self.daemon_stop = true,
                     Some(other) => {
                         return Err(format!(
                             "unknown shutdown scope `{other}` (expected `connection` or `daemon`)"

@@ -5,7 +5,7 @@
 //! computed), cross-client SCC reuse must actually happen and be
 //! observable, and a daemon-scope shutdown must drain cleanly.
 
-use cj_driver::{Daemon, DaemonConfig, Frontend, Server, SessionOptions};
+use cj_driver::{Daemon, DaemonConfig, Server, SessionOptions};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -76,13 +76,13 @@ fn drive_isolated(lines: &[String]) -> Vec<String> {
     lines.iter().map(|l| server.handle_line(l)).collect()
 }
 
-/// The full concurrent-clients e2e, parameterized over the front end:
-/// both must produce byte-identical protocol output.
-fn concurrent_clients_e2e(frontend: Frontend) {
+/// The full concurrent-clients e2e: every client's protocol output must
+/// be byte-identical to an isolated in-process session's.
+#[test]
+fn concurrent_clients_match_isolated_sessions_and_share_sccs() {
     let daemon = Daemon::bind_tcp(
         "127.0.0.1:0",
         DaemonConfig {
-            frontend,
             workers: 4,
             solve_threads: 2,
             ..DaemonConfig::default()
@@ -138,15 +138,12 @@ fn concurrent_clients_e2e(frontend: Frontend) {
         .expect("check response carries sccs_shared_hits");
     assert!(shared_field > 0, "expected cross-client hits in {check}");
     // ...and `stats` exposes the memo-wide shared view plus the daemon
-    // counters (which front end, how many clients, connection peak).
+    // counters (front end, how many clients, connection peak).
     let stats = &got[7];
     assert!(stats.contains("\"shared_memo\":{"), "{stats}");
     assert!(!stats.contains("\"shared_hits\":0"), "{stats}");
     assert!(stats.contains("\"daemon\":{"), "{stats}");
-    assert!(
-        stats.contains(&format!("\"frontend\":\"{}\"", frontend.name())),
-        "{stats}"
-    );
+    assert!(stats.contains("\"frontend\":\"event\""), "{stats}");
     assert!(stats.contains("\"clients_served\":"), "{stats}");
     assert!(stats.contains("\"connections_peak\":"), "{stats}");
     // Byte-identical semantics for the late client too.
@@ -174,16 +171,6 @@ fn concurrent_clients_e2e(frontend: Frontend) {
         "three clients were connected at once, peak {}",
         summary.connections_peak
     );
-}
-
-#[test]
-fn concurrent_clients_match_isolated_sessions_and_share_sccs() {
-    concurrent_clients_e2e(Frontend::Event);
-}
-
-#[test]
-fn concurrent_clients_match_isolated_sessions_threads_frontend() {
-    concurrent_clients_e2e(Frontend::Threads);
 }
 
 /// Event front end: a client dripping a request one byte at a time (one
@@ -332,6 +319,7 @@ fn event_frontend_evicts_half_open_client_without_pinning() {
     let mut goodbye = String::new();
     reader.read_line(&mut goodbye).expect("idle goodbye");
     assert!(goodbye.contains("\"code\":\"idle\""), "{goodbye}");
+    assert!(goodbye.contains("idle timeout"), "{goodbye}");
     // ...and then actually disconnected.
     let mut rest = String::new();
     assert_eq!(reader.read_line(&mut rest).expect("eof"), 0, "{rest}");
@@ -455,7 +443,8 @@ fn run_requests_select_engines_and_reject_unknown_ones() {
 }
 
 /// A typo'd shutdown scope must be an error, not a connection-scope
-/// shutdown the client mistakes for a daemon stop.
+/// shutdown the client mistakes for a daemon stop; only
+/// `scope:"daemon"` asks the daemon to stop.
 #[test]
 fn unknown_shutdown_scope_is_rejected() {
     let mut server = Server::new(SessionOptions::default());
@@ -466,7 +455,20 @@ fn unknown_shutdown_scope_is_rejected() {
         !server.is_done(),
         "a rejected shutdown must not stop the session"
     );
+    assert!(!server.daemon_stop_requested());
     let resp = server.handle_line("{\"cmd\":\"shutdown\",\"scope\":\"connection\"}");
     assert!(resp.contains("\"status\":\"bye\""), "{resp}");
     assert!(server.is_done());
+    assert!(!server.daemon_stop_requested());
+
+    for (request, daemon_stop) in [
+        ("{\"cmd\":\"shutdown\"}", false),
+        ("{\"cmd\":\"shutdown\",\"scope\":\"daemon\"}", true),
+    ] {
+        let mut server = Server::new(SessionOptions::default());
+        let resp = server.handle_line(request);
+        assert!(resp.contains("\"status\":\"bye\""), "{resp}");
+        assert!(server.is_done());
+        assert_eq!(server.daemon_stop_requested(), daemon_stop, "{request}");
+    }
 }

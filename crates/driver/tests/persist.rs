@@ -6,7 +6,7 @@
 //! reporting `sccs_disk_hits`, and a mutilated cache must cold-start
 //! rather than fail.
 
-use cj_driver::{Daemon, DaemonConfig, Frontend, SessionOptions, Workspace};
+use cj_driver::{Daemon, DaemonConfig, SessionOptions, Workspace};
 use cj_persist::SccDiskCache;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -314,15 +314,14 @@ fn over_limit_connections_get_a_structured_reject() {
 }
 
 /// A client that drips bytes without ever completing a line must hit the
-/// idle bound exactly like a silent one — the idle clock is checked on
-/// every received chunk, not only on a fully quiet socket — so it cannot
-/// pin the pool worker indefinitely.
+/// idle bound exactly like a silent one: the idle clock restarts only
+/// when a response completes, never on received bytes, so a dripper is
+/// evicted on time while the daemon keeps serving everyone else.
 #[test]
 fn byte_dripping_clients_hit_the_idle_bound_too() {
     let daemon = Daemon::bind_tcp(
         "127.0.0.1:0",
         DaemonConfig {
-            frontend: Frontend::Threads,
             workers: 1,
             idle_timeout: Duration::from_millis(300),
             ..DaemonConfig::default()
@@ -332,61 +331,33 @@ fn byte_dripping_clients_hit_the_idle_bound_too() {
     let addr = daemon.local_addr().unwrap();
     let handle = std::thread::spawn(move || daemon.run().expect("run"));
 
-    // The dripper: one byte every 40ms, never a newline.
+    // The dripper: one byte every 40ms for 2s, never a newline.
+    const DRIPS: u32 = 50;
+    const DRIP_EVERY: Duration = Duration::from_millis(40);
+    let connected = std::time::Instant::now();
     let dripper = TcpStream::connect(addr).expect("dripper");
     let mut drip_half = dripper.try_clone().unwrap();
     let dripping = std::thread::spawn(move || {
-        for _ in 0..50 {
+        for _ in 0..DRIPS {
             if drip_half.write_all(b"x").is_err() {
                 break;
             }
             let _ = drip_half.flush();
-            std::thread::sleep(Duration::from_millis(40));
+            std::thread::sleep(DRIP_EVERY);
         }
     });
 
-    // With one worker, this only answers once the dripper is evicted.
-    let got = drive_tcp(
-        addr,
-        &[
-            "{\"cmd\":\"stats\"}".to_string(),
-            "{\"cmd\":\"shutdown\",\"scope\":\"daemon\"}".to_string(),
-        ],
-    );
-    assert!(got[0].contains("\"ok\":true"), "{}", got[0]);
-
+    // Evicted while still dripping: the bytes did not postpone the bound.
     let mut reader = BufReader::new(dripper);
     let mut line = String::new();
     reader.read_line(&mut line).unwrap();
     assert!(line.contains("\"code\":\"idle\""), "{line}");
-    dripping.join().unwrap();
-    handle.join().unwrap();
-}
+    let evicted_after = connected.elapsed();
+    assert!(
+        evicted_after < DRIP_EVERY * DRIPS,
+        "dripped bytes postponed eviction to {evicted_after:?}"
+    );
 
-#[test]
-fn idle_clients_are_evicted_and_release_their_worker() {
-    let daemon = Daemon::bind_tcp(
-        "127.0.0.1:0",
-        DaemonConfig {
-            frontend: Frontend::Threads,
-            workers: 1,
-            idle_timeout: Duration::from_millis(300),
-            ..DaemonConfig::default()
-        },
-    )
-    .expect("bind");
-    let addr = daemon.local_addr().unwrap();
-    let handle = std::thread::spawn(move || daemon.run().expect("run"));
-
-    // The stalled client: connects, sends half a line, then nothing. It
-    // pins the only worker until the idle eviction fires.
-    let stalled = TcpStream::connect(addr).expect("stalled client");
-    let mut half = stalled.try_clone().unwrap();
-    write!(half, "{{\"cmd\":\"st").unwrap();
-    half.flush().unwrap();
-
-    // A well-behaved client connects behind it; with one worker it is
-    // only served once the stalled client is evicted.
     let got = drive_tcp(
         addr,
         &[
@@ -395,14 +366,6 @@ fn idle_clients_are_evicted_and_release_their_worker() {
         ],
     );
     assert!(got[0].contains("\"ok\":true"), "{}", got[0]);
-
-    // The stalled client was told why it was dropped, then disconnected.
-    let mut reader = BufReader::new(stalled);
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    assert!(line.contains("\"code\":\"idle\""), "{line}");
-    assert!(line.contains("idle timeout"), "{line}");
-    line.clear();
-    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "then EOF");
+    dripping.join().unwrap();
     handle.join().unwrap();
 }

@@ -5,7 +5,7 @@
 //! plus the in-protocol `metrics` request must expose the unified
 //! registry.
 
-use cj_driver::{parse_json, Daemon, DaemonConfig, Frontend, Json, Server, SessionOptions};
+use cj_driver::{parse_json, Daemon, DaemonConfig, Json, Server, SessionOptions};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
@@ -79,7 +79,6 @@ fn daemon_request_trace_has_distinct_phase_spans() {
     let daemon = Daemon::bind_tcp(
         "127.0.0.1:0",
         DaemonConfig {
-            frontend: Frontend::Event,
             workers: 2,
             ..DaemonConfig::default()
         },
@@ -218,7 +217,6 @@ fn metrics_endpoint_serves_text_and_json_expositions() {
     let daemon = Daemon::bind_tcp(
         "127.0.0.1:0",
         DaemonConfig {
-            frontend: Frontend::Event,
             workers: 2,
             metrics_addr: Some("127.0.0.1:0".to_string()),
             ..DaemonConfig::default()

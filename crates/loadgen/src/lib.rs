@@ -3,7 +3,7 @@
 //! Replays synthetic `open`/`edit`/`check`/`query`/`policy` traffic
 //! against a live `cjrcd` from **one** thread: every simulated client is
 //! multiplexed over a single [`cj_net::EventLoop`] in client mode, the
-//! mirror image of the daemon's event front end. That is what lets the
+//! mirror image of the daemon's front end. That is what lets the
 //! harness hold thousands of concurrent connections (and measure the
 //! daemon doing the same) without a thousand threads of its own.
 //!
@@ -32,6 +32,7 @@
 
 #![forbid(missing_docs)]
 
+use cj_driver::{parse_json, Json};
 use cj_net::{EventLoop, NetConfig, NetEvent, NetStream, Token};
 use std::collections::{BinaryHeap, HashMap};
 use std::io::{BufRead, BufReader, Write};
@@ -831,139 +832,108 @@ impl Harness<'_> {
 
 // ---- the stats probe -------------------------------------------------------
 
-/// Extracts the integer after `"key":` in a flat JSON response.
-fn json_u64(response: &str, key: &str) -> u64 {
-    let pattern = format!("\"{key}\":");
-    response
-        .split(&pattern)
-        .nth(1)
-        .and_then(|rest| rest.split(&[',', '}'][..]).next())
-        .and_then(|n| n.trim().parse::<u64>().ok())
-        .unwrap_or(0)
+/// One extra blocking connection that sends `request`, reads its one
+/// response line, and leaves the daemon as it found it with a
+/// connection-scope goodbye.
+fn probe(addr: SocketAddr, request: &str) -> std::io::Result<String> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
+    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut writer = stream;
+    writeln!(writer, "{request}")?;
+    writer.flush()?;
+    let mut response = String::new();
+    reader.read_line(&mut response)?;
+    writeln!(writer, "{{\"cmd\":\"shutdown\"}}")?;
+    writer.flush()?;
+    let mut bye = String::new();
+    let _ = reader.read_line(&mut bye);
+    Ok(response)
 }
 
-/// Extracts the string after `"key":"` in a flat JSON response.
-fn json_str(response: &str, key: &str) -> String {
-    let pattern = format!("\"{key}\":\"");
-    response
-        .split(&pattern)
-        .nth(1)
-        .and_then(|rest| rest.split('"').next())
-        .unwrap_or("")
-        .to_string()
-}
-
-/// The `{...}` body right after `"name":{` — for scraping one flat
-/// histogram out of a response where field names (`count`, `p99_us`)
-/// repeat across sibling blocks.
-fn json_block<'a>(response: &'a str, name: &str) -> Option<&'a str> {
-    let pattern = format!("\"{name}\":{{");
-    let start = response.find(&pattern)? + pattern.len();
-    let end = response[start..].find('}')?;
-    Some(&response[start..start + end])
-}
-
-/// One extra blocking connection that asks the daemon for `stats` and
-/// scrapes the shared-memo and daemon-counter blocks out of the answer.
+/// Asks the daemon for `stats` and reads the shared-memo and
+/// daemon-counter blocks out of the answer.
 pub fn probe_stats(addr: SocketAddr) -> std::io::Result<DaemonSnapshot> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    writeln!(writer, "{{\"cmd\":\"stats\"}}")?;
-    writer.flush()?;
-    let mut response = String::new();
-    reader.read_line(&mut response)?;
-    if !response.contains("\"shared_memo\":{") {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("stats probe got a response without a memo block: {response}"),
-        ));
-    }
-    let snapshot = DaemonSnapshot {
-        frontend: json_str(&response, "frontend"),
-        clients_served: json_u64(&response, "clients_served"),
-        clients_rejected: json_u64(&response, "clients_rejected"),
-        connections_peak: json_u64(&response, "connections_peak"),
-        memo_entries: json_u64(&response, "entries"),
-        memo_hits: json_u64(&response, "hits"),
-        memo_misses: json_u64(&response, "misses"),
-        memo_shared_hits: json_u64(&response, "shared_hits"),
-        memo_disk_hits: json_u64(&response, "disk_hits"),
-    };
-    // Leave the daemon as we found it: a connection-scope goodbye.
-    writeln!(writer, "{{\"cmd\":\"shutdown\"}}")?;
-    writer.flush()?;
-    let mut bye = String::new();
-    let _ = reader.read_line(&mut bye);
-    Ok(snapshot)
+    let response = probe(addr, "{\"cmd\":\"stats\"}")?;
+    parse_stats_response(&response).map_err(|e| invalid_probe("stats", &e, &response))
 }
 
-/// One extra blocking connection that asks the daemon for its `metrics`
-/// registry and scrapes the server-side latency view out of the answer:
-/// the `queue_wait_us` histogram and every per-kind `request_us_<kind>`
-/// p99 — numbers measured where the work happened, to sit beside the
-/// harness's client-side samples in the report.
+/// Asks the daemon for its `metrics` registry and reads the server-side
+/// latency view out of the answer: the `queue_wait_us` histogram and
+/// every per-kind `request_us_<kind>` p99 — numbers measured where the
+/// work happened, to sit beside the harness's client-side samples in the
+/// report.
 pub fn probe_metrics(addr: SocketAddr) -> std::io::Result<ServerMetrics> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    writeln!(writer, "{{\"cmd\":\"metrics\"}}")?;
-    writer.flush()?;
-    let mut response = String::new();
-    reader.read_line(&mut response)?;
-    if !response.contains("\"histograms\":{") {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("metrics probe got a response without histograms: {response}"),
-        ));
-    }
-    let metrics = parse_metrics_response(&response);
-    // Leave the daemon as we found it: a connection-scope goodbye.
-    writeln!(writer, "{{\"cmd\":\"shutdown\"}}")?;
-    writer.flush()?;
-    let mut bye = String::new();
-    let _ = reader.read_line(&mut bye);
-    Ok(metrics)
+    let response = probe(addr, "{\"cmd\":\"metrics\"}")?;
+    parse_metrics_response(&response).map_err(|e| invalid_probe("metrics", &e, &response))
 }
 
-/// Scrapes the server-side view out of one `metrics` response line.
-fn parse_metrics_response(response: &str) -> ServerMetrics {
-    let mut metrics = ServerMetrics {
-        uptime_ms: json_u64(response, "uptime_ms"),
-        requests_total: json_u64(response, "requests_total"),
-        ..ServerMetrics::default()
+fn invalid_probe(probe: &str, error: &str, response: &str) -> std::io::Error {
+    std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        format!("{probe} probe: {error}: {response}"),
+    )
+}
+
+/// The non-negative integer member `key` of `obj`; 0 when either is
+/// absent.
+fn u64_at(obj: Option<&Json>, key: &str) -> u64 {
+    match obj.and_then(|o| o.get(key)) {
+        Some(Json::Num(n)) if *n >= 0.0 => *n as u64,
+        _ => 0,
+    }
+}
+
+/// Reads one `stats` response line into a [`DaemonSnapshot`].
+fn parse_stats_response(response: &str) -> Result<DaemonSnapshot, String> {
+    let json = parse_json(response)?;
+    let memo = Some(json.get("shared_memo").ok_or("no `shared_memo` block")?);
+    let daemon = json.get("daemon");
+    Ok(DaemonSnapshot {
+        frontend: daemon
+            .and_then(|d| d.get_str("frontend"))
+            .unwrap_or_default()
+            .to_string(),
+        clients_served: u64_at(daemon, "clients_served"),
+        clients_rejected: u64_at(daemon, "clients_rejected"),
+        connections_peak: u64_at(daemon, "connections_peak"),
+        memo_entries: u64_at(memo, "entries"),
+        memo_hits: u64_at(memo, "hits"),
+        memo_misses: u64_at(memo, "misses"),
+        memo_shared_hits: u64_at(memo, "shared_hits"),
+        memo_disk_hits: u64_at(memo, "disk_hits"),
+    })
+}
+
+/// Reads one `metrics` response line into a [`ServerMetrics`].
+fn parse_metrics_response(response: &str) -> Result<ServerMetrics, String> {
+    let json = parse_json(response)?;
+    let metrics = json.get("metrics");
+    let histograms = metrics.and_then(|m| m.get("histograms"));
+    let Some(Json::Obj(members)) = histograms else {
+        return Err("no `metrics.histograms` object".to_string());
     };
-    if let Some(block) = json_block(response, "queue_wait_us") {
-        metrics.queue_wait_count = json_u64(block, "count");
-        metrics.queue_wait_p50_us = json_u64(block, "p50_us");
-        metrics.queue_wait_p95_us = json_u64(block, "p95_us");
-        metrics.queue_wait_p99_us = json_u64(block, "p99_us");
-    }
-    // Walk every `request_us_<kind>` histogram in report order; the set
-    // of kinds is whatever the daemon actually served, not a fixed list.
-    let mut rest = response;
-    while let Some(at) = rest.find("\"request_us_") {
-        rest = &rest[at + "\"request_us_".len()..];
-        let Some(name_end) = rest.find('"') else {
-            break;
-        };
-        let kind = rest[..name_end].to_string();
-        let after = &rest[name_end..];
-        let Some(open) = after.find('{') else { break };
-        let Some(close) = after[open..].find('}') else {
-            break;
-        };
-        let block = &after[open + 1..open + close];
-        metrics.per_kind.push(ServerKindStats {
-            kind,
-            count: json_u64(block, "count"),
-            p99_us: json_u64(block, "p99_us"),
-        });
-        rest = &after[open + close..];
-    }
-    metrics
+    let queue = histograms.and_then(|h| h.get("queue_wait_us"));
+    Ok(ServerMetrics {
+        uptime_ms: u64_at(Some(&json), "uptime_ms"),
+        requests_total: u64_at(metrics.and_then(|m| m.get("counters")), "requests_total"),
+        queue_wait_count: u64_at(queue, "count"),
+        queue_wait_p50_us: u64_at(queue, "p50_us"),
+        queue_wait_p95_us: u64_at(queue, "p95_us"),
+        queue_wait_p99_us: u64_at(queue, "p99_us"),
+        // Every `request_us_<kind>` histogram in report order; the set of
+        // kinds is whatever the daemon actually served, not a fixed list.
+        per_kind: members
+            .iter()
+            .filter_map(|(name, h)| {
+                Some(ServerKindStats {
+                    kind: name.strip_prefix("request_us_")?.to_string(),
+                    count: u64_at(Some(h), "count"),
+                    p99_us: u64_at(Some(h), "p99_us"),
+                })
+            })
+            .collect(),
+    })
 }
 
 /// Asks the daemon at `addr` to shut itself down (daemon scope).
@@ -1037,7 +1007,7 @@ mod tests {
             "\"request_us_open\":{\"count\":30,\"sum_us\":10,\"p50_us\":1,\"p95_us\":2,\"p99_us\":4}",
             "}}}",
         );
-        let m = parse_metrics_response(response);
+        let m = parse_metrics_response(response).unwrap();
         assert_eq!(m.uptime_ms, 1234);
         assert_eq!(m.requests_total, 42);
         assert_eq!(m.queue_wait_count, 40);
@@ -1050,6 +1020,90 @@ mod tests {
             .map(|k| (k.kind.as_str(), k.count, k.p99_us))
             .collect();
         assert_eq!(kinds, vec![("check", 10, 32), ("open", 30, 4)]);
+    }
+
+    /// `stats` and `metrics` lines exactly as a `cjrcd` answered them (a
+    /// warm-cache daemon at `--max-clients 2`, after one rejection), so
+    /// keys that repeat across nested blocks (`hits`, `count`, and
+    /// `uptime_ms` both at the top level and in `counters`) are real.
+    #[test]
+    fn probes_read_real_stats_and_metrics_lines() {
+        let stats = concat!(
+            "{\"ok\":true,\"revision\":3,\"files\":[\"cell.cj\",\"pair.cj\",\"use.cj\"],",
+            "\"passes_total\":{\"parse\":3,\"typecheck\":1,\"infer\":1,\"check\":1,\"run\":0,",
+            "\"lower\":0,\"rvm_lower\":0,\"methods_inferred\":3,\"methods_reused\":0,",
+            "\"methods_lowered\":0,\"methods_lower_reused\":0,\"methods_rvm_lowered\":0,",
+            "\"methods_rvm_reused\":0,\"sccs_solved\":5,\"sccs_reused\":9,\"sccs_shared_hits\":0,",
+            "\"sccs_disk_hits\":6,\"extent_rewrites\":0,\"rules_checked\":0,\"policy_violations\":0},",
+            "\"shared_memo\":{\"entries\":8,\"hits\":12,\"misses\":5,\"shared_hits\":0,\"disk_hits\":9},",
+            "\"uptime_ms\":606,\"version\":\"0.2.0\",",
+            "\"daemon\":{\"frontend\":\"event\",\"clients_served\":2,\"clients_rejected\":1,",
+            "\"connections_current\":2,\"connections_peak\":2},",
+            "\"infer_stats\":{\"regions_created\":10,\"localized_regions\":0,\"fixpoint_iterations\":9,",
+            "\"override_repairs\":0,\"methods_inferred\":3,\"methods_reused\":0,\"sccs_solved\":5,",
+            "\"sccs_reused\":9,\"sccs_shared_hits\":0,\"sccs_disk_hits\":6},",
+            "\"passes_executed\":{\"parse\":0,\"typecheck\":0,\"infer\":0,\"check\":0,\"run\":0,",
+            "\"lower\":0,\"rvm_lower\":0,\"methods_inferred\":0,\"methods_reused\":0,",
+            "\"methods_lowered\":0,\"methods_lower_reused\":0,\"methods_rvm_lowered\":0,",
+            "\"methods_rvm_reused\":0,\"sccs_solved\":0,\"sccs_reused\":0,\"sccs_shared_hits\":0,",
+            "\"sccs_disk_hits\":0,\"extent_rewrites\":0,\"rules_checked\":0,\"policy_violations\":0}}\n",
+        );
+        let d = parse_stats_response(stats).unwrap();
+        assert_eq!(d.frontend, "event");
+        assert_eq!(d.clients_served, 2);
+        assert_eq!(d.clients_rejected, 1);
+        assert_eq!(d.connections_peak, 2);
+        assert_eq!(d.memo_entries, 8);
+        assert_eq!(d.memo_hits, 12);
+        assert_eq!(d.memo_misses, 5);
+        assert_eq!(d.memo_shared_hits, 0);
+        assert_eq!(d.memo_disk_hits, 9);
+
+        let metrics = concat!(
+            "{\"ok\":true,\"revision\":3,\"uptime_ms\":606,\"version\":\"0.2.0\",",
+            "\"metrics\":{\"counters\":{\"daemon_clients_rejected\":1,\"daemon_clients_served\":2,",
+            "\"daemon_connections_current\":2,\"daemon_connections_peak\":2,\"memo_disk_hits\":9,",
+            "\"memo_entries\":8,\"memo_hits\":12,\"memo_misses\":5,\"memo_shared_hits\":0,",
+            "\"passes_check\":2,\"passes_infer\":2,\"passes_methods_inferred\":4,\"passes_parse\":4,",
+            "\"passes_sccs_disk_hits\":9,\"passes_sccs_reused\":12,\"passes_sccs_solved\":5,",
+            "\"passes_typecheck\":2,\"requests_total\":8,\"uptime_ms\":606},",
+            "\"histograms\":{",
+            "\"queue_wait_us\":{\"count\":9,\"sum_us\":64,\"p50_us\":7,\"p95_us\":31,\"p99_us\":31},",
+            "\"request_us_check\":{\"count\":2,\"sum_us\":716,\"p50_us\":511,\"p95_us\":511,\"p99_us\":511},",
+            "\"request_us_open\":{\"count\":4,\"sum_us\":23,\"p50_us\":3,\"p95_us\":15,\"p99_us\":15},",
+            "\"request_us_query\":{\"count\":1,\"sum_us\":8,\"p50_us\":15,\"p95_us\":15,\"p99_us\":15},",
+            "\"request_us_stats\":{\"count\":1,\"sum_us\":16,\"p50_us\":31,\"p95_us\":31,\"p99_us\":31}}},",
+            "\"passes_executed\":{\"parse\":0,\"typecheck\":0,\"infer\":0,\"check\":0,\"run\":0,",
+            "\"lower\":0,\"rvm_lower\":0,\"methods_inferred\":0,\"methods_reused\":0,",
+            "\"methods_lowered\":0,\"methods_lower_reused\":0,\"methods_rvm_lowered\":0,",
+            "\"methods_rvm_reused\":0,\"sccs_solved\":0,\"sccs_reused\":0,\"sccs_shared_hits\":0,",
+            "\"sccs_disk_hits\":0,\"extent_rewrites\":0,\"rules_checked\":0,\"policy_violations\":0}}\n",
+        );
+        let m = parse_metrics_response(metrics).unwrap();
+        assert_eq!(m.uptime_ms, 606);
+        assert_eq!(m.requests_total, 8);
+        assert_eq!(m.queue_wait_count, 9);
+        assert_eq!(m.queue_wait_p50_us, 7);
+        assert_eq!(m.queue_wait_p95_us, 31);
+        assert_eq!(m.queue_wait_p99_us, 31);
+        let kinds: Vec<(&str, u64, u64)> = m
+            .per_kind
+            .iter()
+            .map(|k| (k.kind.as_str(), k.count, k.p99_us))
+            .collect();
+        assert_eq!(
+            kinds,
+            vec![
+                ("check", 2, 511),
+                ("open", 4, 15),
+                ("query", 1, 15),
+                ("stats", 1, 31)
+            ]
+        );
+
+        // A line without the block a probe needs is an error, not zeros.
+        assert!(parse_stats_response("{\"ok\":true}").is_err());
+        assert!(parse_metrics_response("{\"ok\":true}").is_err());
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! The one bounded line framer both daemon front ends (and the load
-//! generator) share: bytes go in as they arrive off the wire, complete
-//! `\n`-terminated lines come out, and a single line growing past the
-//! byte bound is a sticky protocol violation — the caller drops the
-//! connection instead of buffering without limit.
+//! The bounded line framer behind every [`crate::EventLoop`] connection
+//! (daemon and load generator alike): bytes go in as they arrive off the
+//! wire, complete `\n`-terminated lines come out, and a single line
+//! growing past the byte bound is a sticky protocol violation — the
+//! caller drops the connection instead of buffering without limit.
 //!
 //! Framing is deliberately dumb: no escape processing, no UTF-8
 //! validation (the protocol layer owns both). A request dripped one byte
@@ -130,6 +130,7 @@ impl LineFramer {
     }
 
     /// Whether the framer hit its byte bound (sticky).
+    #[cfg(test)]
     pub fn overflowed(&self) -> bool {
         self.overflowed
     }

@@ -1,12 +1,13 @@
 //! # cj-trace — structured tracing spans and a metrics registry
 //!
-//! A dependency-free observability layer in the spirit of rustc's
-//! `-Z self-profile` (measureme): the whole pipeline — parse, typecheck,
-//! per-SCC solve, extent rewriting, lowering, register lowering
-//! (`rvm-lower`), policy check, VM execution (`vm-exec`/`rvm-exec`) —
-//! and the daemon's internals (reactor dispatch, queue wait, worker
-//! handling, persist flush) open [`span`]s that are recorded into
-//! per-thread buffers with monotonic timestamps and attached counters.
+//! An observability layer free of external dependencies, in the spirit
+//! of rustc's `-Z self-profile` (measureme): the whole pipeline — parse,
+//! typecheck, per-SCC solve, extent rewriting, lowering, register
+//! lowering (`rvm-lower`), policy check, VM execution
+//! (`vm-exec`/`rvm-exec`) — and the daemon's internals (reactor
+//! dispatch, queue wait, worker handling, persist flush) open [`span`]s
+//! that are recorded into per-thread buffers with monotonic timestamps
+//! and attached counters.
 //!
 //! **Cost model.** Recording is off until [`install`] flips one global
 //! `AtomicBool`. With no sink installed a [`span`] call is exactly one
@@ -31,6 +32,7 @@
 #![forbid(unsafe_code)]
 #![forbid(missing_docs)]
 
+use cj_diag::json_string;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -264,22 +266,6 @@ fn record_event(
 // Chrome trace-event exporter
 // ---------------------------------------------------------------------------
 
-fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Renders events as Chrome trace-event JSON (the `traceEvents` array
 /// format with complete `"ph":"X"` events), loadable in Perfetto and
 /// `chrome://tracing`. Counters become the event's `args`.
@@ -290,11 +276,11 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push_str("{\"name\":\"");
-        escape_json(ev.name, &mut out);
-        out.push_str("\",\"cat\":\"");
-        escape_json(ev.cat, &mut out);
-        out.push_str("\",\"ph\":\"X\",\"pid\":1,\"tid\":");
+        out.push_str("{\"name\":");
+        out.push_str(&json_string(ev.name));
+        out.push_str(",\"cat\":");
+        out.push_str(&json_string(ev.cat));
+        out.push_str(",\"ph\":\"X\",\"pid\":1,\"tid\":");
         out.push_str(&ev.tid.to_string());
         out.push_str(",\"ts\":");
         out.push_str(&ev.ts_us.to_string());
@@ -303,9 +289,9 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
         out.push_str(",\"args\":{\"depth\":");
         out.push_str(&ev.depth.to_string());
         for (key, value) in &ev.counters {
-            out.push_str(",\"");
-            escape_json(key, &mut out);
-            out.push_str("\":");
+            out.push(',');
+            out.push_str(&json_string(key));
+            out.push(':');
             out.push_str(&value.to_string());
         }
         out.push_str("}}");
@@ -628,19 +614,17 @@ impl MetricsSnapshot {
             if i > 0 {
                 out.push(',');
             }
-            out.push('"');
-            escape_json(name, &mut out);
-            out.push_str(&format!("\":{value}"));
+            out.push_str(&json_string(name));
+            out.push_str(&format!(":{value}"));
         }
         out.push_str("},\"histograms\":{");
         for (i, (name, h)) in self.histograms.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push('"');
-            escape_json(name, &mut out);
+            out.push_str(&json_string(name));
             out.push_str(&format!(
-                "\":{{\"count\":{},\"sum_us\":{},\"p50_us\":{},\"p95_us\":{},\"p99_us\":{}}}",
+                ":{{\"count\":{},\"sum_us\":{},\"p50_us\":{},\"p95_us\":{},\"p99_us\":{}}}",
                 h.count, h.sum, h.p50, h.p95, h.p99
             ));
         }
